@@ -19,6 +19,7 @@ use alpenhorn_ibe::sig::VerifyingKey;
 use alpenhorn_keywheel::SessionKey;
 use alpenhorn_wire::{Identity, Request, Response, Round, RoundKind};
 
+use crate::host;
 use crate::topology::{dir_bytes, Net, Shape, Topology};
 use crate::trace::{self, Outcome};
 
@@ -144,8 +145,11 @@ pub struct RoundRecord {
     /// From `Begin` to the last mailbox scan.
     pub seconds: f64,
     /// Data-directory growth between the end of `Begin` and the end of the
-    /// round, for a durable coordinator.
+    /// round, for a durable coordinator; read on traced rounds only, with
+    /// the reading kept out of `seconds`.
     pub dir_growth: Option<i64>,
+    /// Share of CPU time the hypervisor stole during the round.
+    pub steal: f64,
 }
 
 /// Everything a batch of rounds produced.
@@ -153,10 +157,9 @@ pub struct RoundRecord {
 pub struct RoundsOutput {
     /// Per round, in order.
     pub rounds: Vec<RoundRecord>,
-    /// `participate_*` latencies of untraced rounds: ([`half_round`], ms).
+    /// `participate_*` latencies of untraced rounds: (round, ms).
     pub submit_ms: Vec<(u64, f64)>,
-    /// `process_*_mailbox` latencies of untraced rounds: ([`half_round`],
-    /// ms).
+    /// `process_*_mailbox` latencies of untraced rounds: (round, ms).
     pub fetch_ms: Vec<(u64, f64)>,
     /// Client operations attempted.
     pub attempted: u64,
@@ -188,12 +191,6 @@ pub struct Session {
     /// Pairs the next add-friend round starts instead of fresh ones.
     queued_pairs: Option<Vec<(usize, usize)>>,
     log_events: bool,
-}
-
-/// Identifies the clients of driver thread `thread` in `round`: one
-/// thread's half of a round's latency samples.
-pub fn half_round(round: u64, thread: usize) -> u64 {
-    round * THREADS as u64 + thread as u64
 }
 
 /// 32 bytes derived from the workload seed and a label.
@@ -638,6 +635,7 @@ fn drive_thread(
     loop {
         // Plan and open the round.
         let mut round_start = Instant::now();
+        let mut ticks = None;
         let mut dir_start = None;
         if let Some(leader) = leader.as_deref_mut() {
             let aborted = shared.abort.lock().expect("abort mutex").is_some();
@@ -650,13 +648,19 @@ fn drive_thread(
                         protocol.code(),
                         plan.round,
                     ));
+                    ticks = host::cpu_ticks();
                     round_start = Instant::now();
                     let begin = begin_request(protocol, Round(plan.round), leader.clients() as u64);
                     if let Err(e) = admin(net, "round.begin", begin) {
                         abort(shared, e);
                         shared.stop.store(true, Ordering::SeqCst);
                     }
-                    dir_start = leader.session.topology.data_dir().map(dir_bytes);
+                    if plan.traced {
+                        // Benchmark I/O: the clock is moved past it.
+                        let reading = Instant::now();
+                        dir_start = leader.session.topology.data_dir().map(dir_bytes);
+                        round_start += reading.elapsed();
+                    }
                     *shared.plan.lock().expect("plan mutex") = Arc::new(plan);
                 }
             }
@@ -696,10 +700,8 @@ fn drive_thread(
                 |_| Outcome::default(),
             );
             if !plan.traced {
-                out.submit_ms.push((
-                    half_round(plan.round, t),
-                    started.elapsed().as_secs_f64() * 1e3,
-                ));
+                out.submit_ms
+                    .push((plan.round, started.elapsed().as_secs_f64() * 1e3));
             }
             match result {
                 Err(err) => out.fail(format!(
@@ -790,10 +792,8 @@ fn drive_thread(
                 |_| Outcome::default(),
             );
             if !plan.traced {
-                out.fetch_ms.push((
-                    half_round(plan.round, t),
-                    started.elapsed().as_secs_f64() * 1e3,
-                ));
+                out.fetch_ms
+                    .push((plan.round, started.elapsed().as_secs_f64() * 1e3));
             }
             let events = match result {
                 Err(err) => {
@@ -822,6 +822,7 @@ fn drive_thread(
 
         if let Some(leader) = leader.as_deref_mut() {
             let seconds = round_start.elapsed().as_secs_f64();
+            let steal = host::steal_share(ticks, host::cpu_ticks());
             let dir_growth = match (dir_start, leader.session.topology.data_dir()) {
                 (Some(before), Some(dir)) => Some(dir_bytes(dir) as i64 - before as i64),
                 _ => None,
@@ -833,6 +834,7 @@ fn drive_thread(
                 traced: plan.traced,
                 seconds,
                 dir_growth,
+                steal,
             });
             if protocol == RoundKind::Dialing {
                 shared.call_keys.lock().expect("call key mutex").clear();

@@ -17,11 +17,13 @@
 
 mod attribution;
 mod driver;
+mod host;
 mod shims;
 mod stats;
 mod topology;
 mod trace;
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -30,12 +32,12 @@ use alpenhorn_mixnet::{MailboxPolicy, NoiseConfig};
 use alpenhorn_wire::RoundKind;
 
 use crate::attribution::{Metric, Trace};
-use crate::driver::{half_round, RoundsOutput, Session, Spec, Stop, Tracing};
-use crate::stats::{block_p99s, median};
+use crate::driver::{RoundsOutput, Session, Spec, Stop, Tracing};
+use crate::stats::{calm, median, percentile};
 use crate::topology::Shape;
 
-/// Deployments set up per run; `setup_s` is the median of their set-up
-/// times.
+/// Deployments set up and measured per untraced run; `setup_s` is the
+/// median of their set-up times.
 const SESSIONS: usize = 3;
 /// Samples every reported p99 needs (ten beyond it).
 const P99_SAMPLES: usize = 1000;
@@ -150,57 +152,6 @@ fn workload(name: &str, data_root: &std::path::Path) -> Result<Spec, String> {
     }
 }
 
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// The commit checked out, read from `.git` without running git; "unknown"
-/// outside a git checkout.
-fn git_revision() -> String {
-    let read = |p: &str| {
-        std::fs::read_to_string(p)
-            .ok()
-            .map(|s| s.trim().to_string())
-    };
-    match read(".git/HEAD") {
-        Some(head) => match head.strip_prefix("ref: ") {
-            Some(reference) => read(&format!(".git/{reference}")).unwrap_or_else(|| {
-                read(".git/packed-refs")
-                    .and_then(|refs| {
-                        refs.lines()
-                            .find(|l| l.ends_with(reference))
-                            .and_then(|l| l.split(' ').next().map(str::to_string))
-                    })
-                    .unwrap_or_else(|| "unknown".into())
-            }),
-            None => head,
-        },
-        None => "unknown".into(),
-    }
-}
-
-fn peak_rss_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<f64>().ok())
-        })
-        .map(|kb| kb / 1024.0)
-        .unwrap_or(0.0)
-}
-
 /// Adds `other`'s correctness counts to `into`.
 fn absorb(into: &mut RoundsOutput, other: &RoundsOutput) {
     into.attempted += other.attempted;
@@ -213,6 +164,8 @@ fn absorb(into: &mut RoundsOutput, other: &RoundsOutput) {
 struct Runs {
     /// Set-up time of every deployment.
     setup_s: Vec<f64>,
+    /// Share of CPU time stolen during each set-up.
+    setup_steal: Vec<f64>,
     /// Correctness counts of set-up, warm-up and keywheel checks.
     checks: RoundsOutput,
     /// The measured rounds of each measured deployment.
@@ -221,42 +174,18 @@ struct Runs {
     down_bytes: u64,
     /// Spans of the traced deployment.
     spans: Vec<trace::Span>,
-    /// Share of CPU time the hypervisor stole during each measured
-    /// deployment, reported so a noisy host shows in the result.
-    steal: Vec<f64>,
 }
 
-/// (steal, total) CPU time since boot, in clock ticks over all CPUs.
-fn cpu_ticks() -> Option<(u64, u64)> {
-    let stat = std::fs::read_to_string("/proc/stat").ok()?;
-    let ticks: Vec<u64> = stat
-        .lines()
-        .next()?
-        .split_whitespace()
-        .skip(1)
-        .map(|t| t.parse().ok())
-        .collect::<Option<_>>()?;
-    Some((*ticks.get(7)?, ticks.iter().sum()))
-}
-
-/// Share of CPU time stolen between two [`cpu_ticks`] readings.
-fn steal_share(before: Option<(u64, u64)>, after: Option<(u64, u64)>) -> f64 {
-    match (before, after) {
-        (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => (s1 - s0) as f64 / (t1 - t0) as f64,
-        _ => 0.0,
-    }
-}
-
-/// Sets up [`SESSIONS`] deployments one after another, timing each set-up
-/// (boot, registration, friendships). An untraced run measures every
-/// deployment for an equal share of `seconds`: each deployment's threads,
-/// connections and allocations are a fresh draw of the scheduler's and
-/// allocator's placement, and the metrics pool all of them. A traced run
-/// measures only the last deployment, whose registrations it also traces.
+/// Sets up deployments one after another, timing each set-up (boot,
+/// registration, friendships), and measures each for an equal share of
+/// `seconds`. An untraced run uses [`SESSIONS`] deployments: each one's
+/// threads, connections and allocations are a fresh draw of the
+/// scheduler's and allocator's placement, and the metrics pool all of them.
+/// A traced run sets up and measures one, and traces its registrations too.
 fn run_sessions(spec: &Spec, args: &Args) -> Result<Runs, String> {
-    let measured_sessions = if args.trace { 1 } else { SESSIONS };
+    let sessions = if args.trace { 1 } else { SESSIONS };
     let stop = Stop::Timed {
-        seconds: args.seconds / measured_sessions as f64,
+        seconds: args.seconds / sessions as f64,
         untraced_samples: if args.trace { 0 } else { P99_SAMPLES },
         traced_samples: if args.trace { P99_SAMPLES } else { 0 },
     };
@@ -266,13 +195,13 @@ fn run_sessions(spec: &Spec, args: &Args) -> Result<Runs, String> {
         Tracing::Off
     };
     let mut runs = Runs::default();
-    for k in 0..SESSIONS {
-        let measure = k + measured_sessions >= SESSIONS;
+    for k in 0..sessions {
         let mut spec = spec.clone();
         if let Some(dir) = &spec.shape.data_dir {
             spec.shape.data_dir = Some(dir.join(format!("session-{k}")));
         }
-        trace::set_enabled(args.trace && measure);
+        trace::set_enabled(args.trace);
+        let ticks = host::cpu_ticks();
         let started = Instant::now();
         let mut session = Session::boot(&spec, args.seed, false)?;
         let befriended = if spec.setup_pairs > 0 {
@@ -281,34 +210,29 @@ fn run_sessions(spec: &Spec, args: &Args) -> Result<Runs, String> {
             Ok(RoundsOutput::default())
         };
         runs.setup_s.push(started.elapsed().as_secs_f64());
+        runs.setup_steal
+            .push(host::steal_share(ticks, host::cpu_ticks()));
         trace::set_enabled(false);
         let result = befriended.and_then(|befriended| {
             absorb(&mut runs.checks, &befriended);
-            if !measure {
-                return Ok(None);
-            }
             // One unmeasured round first, so connections, caches and
             // allocator pools are warm; its outcomes are checked like any
             // other.
             let warmup = session.run(spec.protocol, Stop::Rounds(1), Tracing::Off)?;
             absorb(&mut runs.checks, &warmup);
             shims::take_down_bytes();
-            let before = cpu_ticks();
             let out = session.run(spec.protocol, stop, tracing)?;
-            let steal = steal_share(before, cpu_ticks());
             let down_bytes = shims::take_down_bytes();
             let (pairs, failures) = session.check_keywheels();
             runs.checks.attempted += pairs;
             runs.checks.failed += failures.len() as u64;
             runs.checks.failures.extend(failures);
-            Ok(Some((out, down_bytes, steal)))
+            Ok((out, down_bytes))
         });
         session.shutdown();
-        if let Some((out, down_bytes, steal)) = result? {
-            runs.measured.push(out);
-            runs.down_bytes += down_bytes;
-            runs.steal.push(steal);
-        }
+        let (out, down_bytes) = result?;
+        runs.measured.push(out);
+        runs.down_bytes += down_bytes;
     }
     runs.spans = trace::take();
     Ok(runs)
@@ -341,8 +265,8 @@ fn run() -> Result<bool, String> {
         ("seed", args.seed.to_string()),
         ("trace", u8::from(args.trace).to_string()),
         ("nproc", nproc.to_string()),
-        ("cpu_model", cpu_model()),
-        ("git_revision", git_revision()),
+        ("cpu_model", host::cpu_model()),
+        ("git_revision", host::git_revision()),
         ("network", "loopback TCP".into()),
         ("pairing", "mock".into()),
         ("clients", spec.clients.to_string()),
@@ -363,47 +287,64 @@ fn run() -> Result<bool, String> {
         eprintln!("FAILED: {failure}");
     }
     let mut ok = failed == 0;
-    let measured: Vec<f64> = runs
+    // Every untraced round as (deployment, record), in the order they ran.
+    let untraced: Vec<(usize, &driver::RoundRecord)> = runs
         .measured
         .iter()
-        .flat_map(|o| o.rounds.iter().filter(|r| !r.traced).map(|r| r.seconds))
+        .enumerate()
+        .flat_map(|(d, o)| o.rounds.iter().filter(|r| !r.traced).map(move |r| (d, r)))
         .collect();
-
-    let mut metrics: Vec<Metric> = Vec::new();
+    let steal: Vec<f64> = untraced.iter().map(|(_, r)| r.steal).collect();
     let mut notes: Vec<String> = vec![format!(
-        "host steal share per measured deployment: {:?}",
-        runs.steal
-            .iter()
-            .map(|s| (s * 1e4).round() / 1e4)
-            .collect::<Vec<_>>()
+        "host steal share per untraced round: median {:.4}, max {:.4}",
+        median(&steal).unwrap_or(0.0),
+        steal.iter().copied().fold(0.0, f64::max)
     )];
+    let mut metrics: Vec<Metric> = Vec::new();
     if !args.trace {
-        let participations = (measured.len() * spec.clients) as f64;
-        // p50 over every sample; p99 as the median of per-block p99s, with
-        // the deployments' round halves taken in the order they ran.
+        // Only the rounds the host left calm are reported (see
+        // `stats::calm`): the choice reads steal, never the times.
+        let kept: HashSet<(usize, u64)> = untraced
+            .iter()
+            .zip(calm(&steal))
+            .filter(|(_, keep)| *keep)
+            .map(|((d, r), _)| (*d, r.round))
+            .collect();
+        let round_times: Vec<f64> = untraced
+            .iter()
+            .filter(|(d, r)| kept.contains(&(*d, r.round)))
+            .map(|(_, r)| r.seconds)
+            .collect();
+        // p50 and p99 over every sample of the kept rounds.
+        let kept = &kept;
         let latency = |pick: fn(&RoundsOutput) -> &Vec<(u64, f64)>| {
-            let key = |deployment: usize, round: u64| ((deployment as u64) << 32) | round;
-            let mut samples = Vec::new();
-            let mut order = Vec::new();
-            for (d, out) in runs.measured.iter().enumerate() {
-                samples.extend(pick(out).iter().map(|&(round, ms)| (key(d, round), ms)));
-                order.extend(out.rounds.iter().flat_map(|r| {
-                    (0..driver::THREADS).map(move |t| key(d, half_round(r.round, t)))
-                }));
-            }
-            let p99s =
-                block_p99s(&samples, &order, P99_SAMPLES).map_err(|e| format!("p99: {e}"))?;
-            let all: Vec<f64> = samples.iter().map(|s| s.1).collect();
-            let p50 = median(&all).ok_or("no latency samples")?;
-            let p99 = median(&p99s).expect("at least one block");
-            Ok::<_, String>((p50, p99, all.len(), p99s))
+            let samples: Vec<f64> = runs
+                .measured
+                .iter()
+                .enumerate()
+                .flat_map(|(d, out)| {
+                    pick(out)
+                        .iter()
+                        .filter(move |(round, _)| kept.contains(&(d, *round)))
+                        .map(|&(_, ms)| ms)
+                })
+                .collect();
+            let p50 = median(&samples).ok_or("no latency samples")?;
+            let p99 = percentile(&samples, 0.99).map_err(|e| format!("p99: {e}"))?;
+            Ok::<_, String>((p50, p99, samples.len()))
         };
-        let (submit_p50, submit_p99, submit_n, submit_blocks) = latency(|o| &o.submit_ms)?;
-        let (fetch_p50, fetch_p99, fetch_n, fetch_blocks) = latency(|o| &o.fetch_ms)?;
-        let blocks = submit_blocks.len();
+        let (submit_p50, submit_p99, submit_n) = latency(|o| &o.submit_ms)?;
+        let (fetch_p50, fetch_p99, fetch_n) = latency(|o| &o.fetch_ms)?;
         // Throughput at the median round, so that a few rounds slowed by
         // the host do not move it more than they move round_s.
-        let round_s = median(&measured).ok_or("no measured rounds")?;
+        let round_s = median(&round_times).ok_or("no measured rounds")?;
+        let setups: Vec<f64> = runs
+            .setup_s
+            .iter()
+            .zip(calm(&runs.setup_steal))
+            .filter(|(_, keep)| *keep)
+            .map(|(s, _)| *s)
+            .collect();
         metrics.push(("round_s".into(), round_s, "s"));
         metrics.push((
             "client_rounds_per_s".into(),
@@ -416,7 +357,7 @@ fn run() -> Result<bool, String> {
         metrics.push(("fetch_ms_p99".into(), fetch_p99, "ms"));
         metrics.push((
             "down_bytes_per_client_round".into(),
-            runs.down_bytes as f64 / participations,
+            runs.down_bytes as f64 / (untraced.len() * spec.clients) as f64,
             "bytes",
         ));
         metrics.push((
@@ -424,26 +365,22 @@ fn run() -> Result<bool, String> {
             1.0 - failed as f64 / attempted.max(1) as f64,
             "ratio",
         ));
-        metrics.push(("setup_s".into(), median(&runs.setup_s).unwrap_or(0.0), "s"));
-        metrics.push(("peak_rss_mb".into(), peak_rss_mb(), "MB"));
+        metrics.push(("setup_s".into(), median(&setups).unwrap_or(0.0), "s"));
+        metrics.push(("peak_rss_mb".into(), host::peak_rss_mb(), "MB"));
         notes.push(format!(
-            "samples: {} rounds over {} deployments, {submit_n} submit, {fetch_n} fetch \
-             (N = {} clients per round); p99 is the median over {blocks} blocks of round halves \
-             with at least {P99_SAMPLES} samples each; setup_s over {} set-ups",
-            measured.len(),
+            "samples: {} of {} rounds over {} deployments kept as calm, {submit_n} submit, \
+             {fetch_n} fetch (N = {} clients per round); setup_s over {} of {} set-ups",
+            round_times.len(),
+            untraced.len(),
             runs.measured.len(),
             spec.clients,
+            setups.len(),
             runs.setup_s.len()
         ));
-        let rounded = |v: &[f64]| {
-            v.iter()
-                .map(|x| (x * 1e3).round() / 1e3)
-                .collect::<Vec<_>>()
-        };
+        let all_rounds: Vec<f64> = untraced.iter().map(|(_, r)| r.seconds).collect();
         notes.push(format!(
-            "per-block p99 (ms): submit {:?}, fetch {:?}",
-            rounded(&submit_blocks),
-            rounded(&fetch_blocks)
+            "round_s over every untraced round: {:.6}",
+            median(&all_rounds).unwrap_or(0.0)
         ));
         notes.push(format!(
             "fail_ratio: {}",
@@ -478,7 +415,7 @@ fn run() -> Result<bool, String> {
         let traced_rounds = out.rounds.iter().filter(|r| r.traced).count();
         notes.push(format!(
             "samples: {traced_rounds} traced rounds, {} untraced, {} spans",
-            measured.len(),
+            untraced.len(),
             spans.len()
         ));
         let spans_path = out_dir.join(format!("{}-seed{}.spans.tsv", args.workload, args.seed));

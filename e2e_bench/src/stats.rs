@@ -70,33 +70,13 @@ pub fn median(values: &[f64]) -> Option<f64> {
     })
 }
 
-/// Per-block p99s of latencies tagged by unit (a round, or part of one),
-/// for a p99 steadied against short stalls by taking the median over
-/// blocks. The units are cut, in `order`, into blocks of the fewest whole
-/// units holding at least `block_samples` samples; a short trailing block
-/// joins the one before it.
-pub fn block_p99s(
-    samples: &[(u64, f64)],
-    order: &[u64],
-    block_samples: usize,
-) -> Result<Vec<f64>, TooFewSamples> {
-    let mut by_round: std::collections::HashMap<u64, Vec<f64>> = std::collections::HashMap::new();
-    for &(round, value) in samples {
-        by_round.entry(round).or_default().push(value);
-    }
-    let mut blocks: Vec<Vec<f64>> = Vec::new();
-    let mut current = Vec::new();
-    for round in order {
-        current.extend(by_round.remove(round).unwrap_or_default());
-        if current.len() >= block_samples {
-            blocks.push(std::mem::take(&mut current));
-        }
-    }
-    match blocks.last_mut() {
-        Some(last) => last.extend(current),
-        None => blocks.push(current),
-    }
-    blocks.iter().map(|block| percentile(block, 0.99)).collect()
+/// Which units of a run (rounds, or set-ups) to report, given the share of
+/// CPU time the hypervisor stole during each: those at or under the median
+/// share, so at least the calmer half. The choice reads only the host,
+/// never the measured times, so a slow program stays slow.
+pub fn calm(steal: &[f64]) -> Vec<bool> {
+    let cut = median(steal).unwrap_or(0.0);
+    steal.iter().map(|&s| s <= cut).collect()
 }
 
 #[cfg(test)]
@@ -126,20 +106,15 @@ mod tests {
     }
 
     #[test]
-    fn block_p99s_cut_whole_units() {
-        // Rounds 1..=5 of 500 samples each, round 3 slow: blocks are
-        // {1, 2}, {3, 4} and {5} joined to {3, 4}.
-        let samples: Vec<(u64, f64)> = (1..=5u64)
-            .flat_map(|r| (1..=500).map(move |i| (r, if r == 3 { 1000.0 } else { f64::from(i) })))
-            .collect();
-        // Block {1, 2}: p99 = 495; block {3, 4, 5}: a third is slow, p99 =
-        // 1000.
+    fn calm_keeps_the_calmer_half_and_every_tie() {
         assert_eq!(
-            block_p99s(&samples, &[1, 2, 3, 4, 5], 1000),
-            Ok(vec![495.0, 1000.0])
+            calm(&[0.30, 0.05, 0.20, 0.10]),
+            vec![false, true, false, true]
         );
-        // Too few samples for any block is refused.
-        assert!(block_p99s(&samples[..999], &[1, 2], 1000).is_err());
+        assert_eq!(calm(&[0.01, 0.02, 0.30]), vec![true, true, false]);
+        // A quiet host: every round at the median is kept.
+        assert_eq!(calm(&[0.0, 0.003, 0.0, 0.0]), vec![true, false, true, true]);
+        assert!(calm(&[]).is_empty());
     }
 
     #[test]
