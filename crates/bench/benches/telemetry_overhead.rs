@@ -5,7 +5,7 @@
 //!   observe, span begin/drop, and correlation-id derivation, each measured
 //!   alone. These bound what any single instrumentation point can cost.
 //! * **Dispatch overhead** — the full framed-payload dispatch
-//!   (`SharedCoordinator::handle_request_bytes_with_correlation`: decode →
+//!   (`SharedCoordinator::handle_request_bytes`: decode →
 //!   RPC timing + span + outcome counter → encode) against a bare
 //!   decode → `handle` → encode loop with every telemetry hook skipped.
 //!   The delta is exactly the per-RPC instrumentation tax in nanoseconds.
@@ -110,7 +110,6 @@ fn main() {
     // The snapshot-served read path is the coordinator's hottest RPC; a
     // round-scoped fetch additionally opens a span per dispatch.
     let shared = open_round(100);
-    let corr = alpenhorn_obs::correlation_id(RoundKind::AddFriend.code(), 1);
 
     // The client-visible denominator: one framed RPC over localhost TCP
     // against a served coordinator (instrumentation on — it always is).
@@ -143,9 +142,7 @@ fn main() {
             criterion::black_box(response.encode());
         });
         let instrumented = measure_ns(budget, || {
-            criterion::black_box(
-                shared.handle_request_bytes_with_correlation(&payload, Some(corr)),
-            );
+            criterion::black_box(shared.handle_request_bytes(&payload));
         });
         let tax = instrumented - bare;
         let pct = tax / tcp_rpc * 100.0;

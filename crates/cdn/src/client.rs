@@ -8,7 +8,7 @@ use std::time::Duration;
 use alpenhorn_wire::{CdnRequest, CdnResponse, Frame};
 
 use crate::error::CdnError;
-use crate::node::{connect, CdnNodeState};
+use crate::node::{CdnNodeState, CONNECTION_IO_TIMEOUT};
 
 /// A readers-and-writers view of one CDN node.
 ///
@@ -130,16 +130,15 @@ impl TcpNode {
 impl NodeClient for TcpNode {
     fn call(&mut self, request: &CdnRequest) -> Result<CdnResponse, CdnError> {
         if self.stream.is_none() {
-            self.stream = Some(connect(&self.addr, self.connect_timeout)?);
+            self.stream = Some(alpenhorn_wire::server::connect(
+                &self.addr,
+                self.connect_timeout,
+                CONNECTION_IO_TIMEOUT,
+            )?);
         }
         let stream = self.stream.as_mut().expect("connected above");
-        // Round-scoped requests carry the round's correlation id in the
-        // frame's telemetry field so the node's span joins the round trace.
-        let correlation = request
-            .round_scope()
-            .map(|(kind, round)| alpenhorn_obs::correlation_id(kind.code(), round.0));
         let result: Result<CdnResponse, CdnError> = (|| {
-            Frame::write_to_with_telemetry(stream, &request.encode(), correlation)?;
+            Frame::write_to(stream, &request.encode())?;
             let response = Frame::read_from(stream)?;
             Ok(CdnResponse::decode(&response)?)
         })();

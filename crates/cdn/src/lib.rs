@@ -8,7 +8,8 @@
 //!   [`CdnRequest`](alpenhorn_wire::CdnRequest) protocol, optionally
 //!   mirrored to a data directory so an acknowledged shard survives a node
 //!   restart.
-//! * [`serve`] — the framed TCP accept loop (`cdnd` binary).
+//! * [`serve`] — the node on the shared framed TCP server loop
+//!   ([`alpenhorn_wire::server`]; `cdnd` binary).
 //! * [`NodeClient`] — a handle to one node: [`LoopbackNode`] (in-process,
 //!   full codec, with a liveness switch for scripted node loss) or
 //!   [`TcpNode`] (framed TCP, lazy reconnect).
@@ -28,5 +29,5 @@ pub mod sharded;
 
 pub use client::{LoopbackNode, NodeClient, TcpNode};
 pub use error::CdnError;
-pub use node::{serve, CdnNodeHandle, CdnNodeState};
+pub use node::{serve, serve_with_config, CdnNodeHandle, CdnNodeState};
 pub use sharded::{CdnFleetStats, FetchOutcome, PublishOutcome, ShardedCdn};

@@ -1,8 +1,7 @@
 //! One CDN node: an erasure-shard store behind the `cdnd` request protocol.
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::ToSocketAddrs;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -10,7 +9,10 @@ use std::time::Duration;
 use alpenhorn_obs::SpanGuard;
 use alpenhorn_wire::cdn::MAX_SHARDS;
 use alpenhorn_wire::rpc::{SpanWire, TelemetryWire};
-use alpenhorn_wire::{CdnRequest, CdnResponse, Frame, Round, RoundKind, ShardHeader};
+use alpenhorn_wire::{
+    CdnRequest, CdnResponse, Frame, Round, RoundKind, ServerConfig, ServerHandle, Service,
+    ShardHeader, WireError,
+};
 
 /// The span component tag for code running inside a CDN node. In a real
 /// deployment each `cdnd` process only ever records spans with this tag; in
@@ -219,31 +221,21 @@ impl CdnNodeState {
     }
 
     /// Handles one framed request payload, returning the encoded response.
+    /// Round-scoped requests record a node-side span under the round's
+    /// correlation id, so one add-friend round can be traced from the
+    /// coordinator into every node that stored or served its shards.
     /// Undecodable payloads come back as encoded [`CdnResponse::Error`]s,
     /// keeping the connection alive and aligned.
     pub fn handle_request_bytes(&mut self, payload: &[u8]) -> Vec<u8> {
-        self.handle_request_bytes_with_correlation(payload, None)
-    }
-
-    /// Like [`CdnNodeState::handle_request_bytes`], with the correlation id
-    /// the peer attached to the request frame (if any): round-scoped
-    /// requests record a node-side span under it, so one add-friend round
-    /// can be traced from the coordinator into every node that stored or
-    /// served its shards.
-    pub fn handle_request_bytes_with_correlation(
-        &mut self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Vec<u8> {
         let response = match CdnRequest::decode(payload) {
             Ok(request) => {
-                let correlation = correlation.or_else(|| {
-                    request
-                        .round_scope()
-                        .map(|(kind, round)| alpenhorn_obs::correlation_id(kind.code(), round.0))
+                let _span = request.round_scope().map(|(kind, round)| {
+                    SpanGuard::begin(
+                        SPAN_COMPONENT,
+                        request.name(),
+                        alpenhorn_obs::correlation_id(kind.code(), round.0),
+                    )
                 });
-                let _span =
-                    correlation.map(|corr| SpanGuard::begin(SPAN_COMPONENT, request.name(), corr));
                 self.handle(request)
             }
             Err(e) => CdnResponse::Error(format!("undecodable cdn request: {e}")),
@@ -300,116 +292,60 @@ fn decode_shard_file(bytes: &[u8]) -> Option<(ShardHeader, Vec<u8>)> {
     Some((header, bytes[12..].to_vec()))
 }
 
-/// A handle to a running [`serve`] loop.
-pub struct CdnNodeHandle {
-    local_addr: std::net::SocketAddr,
-    state: Arc<Mutex<CdnNodeState>>,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl CdnNodeHandle {
-    /// The bound listen address (with the OS-assigned port for `:0` binds).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
-    /// The served node state, shared with the accept loop.
-    pub fn state(&self) -> Arc<Mutex<CdnNodeState>> {
-        Arc::clone(&self.state)
-    }
-
-    /// Kills the daemon: the listener closes (new connects are refused) and
-    /// every open connection is dropped at its next frame without a
-    /// response. Clients see exactly what a crashed `cdnd` process looks
-    /// like. The node state survives in this handle, as it would on disk.
-    pub fn shutdown(&self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        // Wake the accept loop so it observes the flag and drops the
-        // listener; the wake connection itself is refused service.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
-    }
-}
-
-/// Serves `state` on `addr`: one framed [`CdnRequest`] → [`CdnResponse`]
-/// exchange per frame, one thread per connection. Returns once the listener
-/// is bound; accepting runs on a background thread until
-/// [`CdnNodeHandle::shutdown`] (or for the life of the process).
-pub fn serve(state: CdnNodeState, addr: &str) -> std::io::Result<CdnNodeHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let state = Arc::new(Mutex::new(state));
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let accept_state = Arc::clone(&state);
-    let accept_shutdown = Arc::clone(&shutdown);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-                return; // drops the listener: connects now refused
-            }
-            let Ok(stream) = stream else { continue };
-            let state = Arc::clone(&accept_state);
-            let shutdown = Arc::clone(&accept_shutdown);
-            std::thread::spawn(move || serve_connection(stream, state, shutdown));
-        }
-    });
-    Ok(CdnNodeHandle {
-        local_addr,
-        state,
-        shutdown,
-    })
-}
+/// A handle to a running [`serve`] loop. Its
+/// [`shutdown`](ServerHandle::shutdown) kills the daemon as a crashed `cdnd`
+/// process looks to clients.
+pub type CdnNodeHandle = ServerHandle;
 
 /// Read/write timeout per connection.
-const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(60);
+pub(crate) const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(60);
 
-fn serve_connection(
-    mut stream: TcpStream,
-    state: Arc<Mutex<CdnNodeState>>,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT));
-    loop {
-        let (payload, correlation) = match Frame::read_from_with_telemetry(&mut stream) {
-            Ok(read) => read,
-            Err(_) => return,
-        };
-        if shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-            // A killed daemon never answers: drop the connection mid-request.
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
-        let response = {
-            let mut state = state.lock().expect("cdn node state mutex");
-            state.handle_request_bytes_with_correlation(&payload, correlation)
-        };
-        if Frame::write_to(&mut stream, &response).is_err() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return;
-        }
+/// The served node: requests from every connection serialize through one
+/// lock.
+struct Served(Mutex<CdnNodeState>);
+
+impl Service for Served {
+    const NAME: &'static str = "cdn_node";
+
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
+        let mut state = self.0.lock().expect("cdn node state mutex");
+        state.handle_request_bytes(request)
+    }
+
+    fn shed_reply(&self, retry_after_ms: u32) -> Vec<u8> {
+        CdnResponse::Error(format!(
+            "cdnd at connection capacity; retry in {retry_after_ms} ms"
+        ))
+        .encode()
+    }
+
+    fn bad_frame_reply(&self, error: &WireError) -> Vec<u8> {
+        CdnResponse::Error(format!("undecodable frame: {error}")).encode()
     }
 }
 
-/// A connect helper with the node's defaults (used by
-/// [`TcpNode`](crate::client::TcpNode)).
-pub(crate) fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for candidate in std::net::ToSocketAddrs::to_socket_addrs(addr)? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(ErrorKind::InvalidInput, "address resolved to no candidates")
-    }))
+/// Serves `state` on `addr` with the node's defaults: one framed
+/// [`CdnRequest`] → [`CdnResponse`] exchange per frame. Returns once the
+/// listener is bound.
+pub fn serve(state: CdnNodeState, addr: impl ToSocketAddrs) -> std::io::Result<CdnNodeHandle> {
+    serve_with_config(
+        state,
+        addr,
+        ServerConfig {
+            read_timeout: Some(CONNECTION_IO_TIMEOUT),
+            write_timeout: Some(CONNECTION_IO_TIMEOUT),
+            ..ServerConfig::default()
+        },
+    )
+}
+
+/// [`serve`] with explicit timeout and shedding configuration.
+pub fn serve_with_config(
+    state: CdnNodeState,
+    addr: impl ToSocketAddrs,
+    config: ServerConfig,
+) -> std::io::Result<CdnNodeHandle> {
+    alpenhorn_wire::serve(Served(Mutex::new(state)), addr, config)
 }
 
 #[cfg(test)]

@@ -1,238 +1,46 @@
-//! A TCP server exposing a [`SharedCoordinator`] to the network.
+//! The TCP server exposing a [`SharedCoordinator`] to the network: the
+//! daemon half of the `alpenhornd` deployment.
 //!
-//! This is the daemon half of the `alpenhornd` deployment. The design is an
-//! event-loop-style split between I/O and dispatch:
-//!
-//! * the **accept loop** admits connections up to `max_connections`, shedding
-//!   the excess with a retryable typed error (PR 6 semantics, unchanged);
-//! * each admitted connection gets a thin **reader thread** that does blocking
-//!   frame I/O only — it never touches coordinator state;
-//! * decoded request payloads flow through a bounded [`DispatchQueue`] into a
-//!   fixed pool of **worker threads**, each calling
-//!   [`SharedCoordinator::handle_request_bytes`]. Read-mostly RPCs are served
-//!   from the lock-free snapshot, submissions hit only an intake shard and a
-//!   verifier stripe, and exclusive RPCs serialize on the service write lock
-//!   — so the worker pool actually runs requests in parallel instead of
-//!   convoying behind one service mutex as the previous thread-per-connection
-//!   build did.
-//!
-//! One request is in flight per connection at a time (the RPC protocol is
-//! strict request/response), so per-connection ordering is preserved; the
-//! bounded queue applies backpressure instead of letting a flood of decoded
-//! requests grow an unbounded backlog. Clients speak the framed RPC protocol
-//! ([`alpenhorn_wire::rpc`] inside [`alpenhorn_wire::Frame`]); a connection
-//! that sends an undecodable frame gets a typed error reply and is then
-//! dropped.
+//! The accept loop, connection cap, shedding, timeouts and shutdown are the
+//! shared [`alpenhorn_wire::server`] loop; this module supplies the RPC
+//! protocol's replies. Each connection's requests run inline on its own
+//! thread through [`SharedCoordinator::handle_request_bytes`]: read-mostly
+//! RPCs are served from the lock-free snapshot, submissions hit only an
+//! intake shard and a verifier stripe, and exclusive RPCs serialize on the
+//! service write lock, so connections run in parallel without a dispatch
+//! queue in between. A shed connection gets a retryable
+//! [`RpcError::Unavailable`] with the retry-after hint; an undecodable frame
+//! gets [`RpcError::BadRequest`] and the connection is dropped.
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::ToSocketAddrs;
 
-use alpenhorn_obs::{Counter, Gauge};
-use alpenhorn_wire::codec::FrameIoError;
-use alpenhorn_wire::Frame;
+use alpenhorn_wire::{Response, RpcError, Service, WireError};
+
+pub use alpenhorn_wire::server::{ServerConfig, ServerHandle};
 
 use crate::service::CoordinatorService;
 use crate::shared::SharedCoordinator;
 
-/// Server-level load metrics: dispatch-queue depth, worker-pool utilization,
-/// and connection accounting. Process-wide (every server in the process
-/// shares them, matching the one-daemon-per-process deployment).
-struct ServerMetrics {
-    queue_depth: Arc<Gauge>,
-    workers_busy: Arc<Gauge>,
-    connections_active: Arc<Gauge>,
-    connections_shed: Arc<Counter>,
-}
+impl Service for SharedCoordinator {
+    const NAME: &'static str = "coordinator";
 
-fn server_metrics() -> &'static ServerMetrics {
-    static METRICS: OnceLock<ServerMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = alpenhorn_obs::global();
-        ServerMetrics {
-            queue_depth: registry.gauge("coordinator_dispatch_queue_depth", &[]),
-            workers_busy: registry.gauge("coordinator_workers_busy", &[]),
-            connections_active: registry.gauge("coordinator_connections_active", &[]),
-            connections_shed: registry.counter("coordinator_connections_shed_total", &[]),
-        }
-    })
-}
-
-/// Tuning knobs for [`serve_with_config`]: per-connection I/O timeouts, the
-/// accept-loop overload policy, and the dispatch pool shape.
-///
-/// The defaults keep a daemon healthy under hostile or flaky peers: a client
-/// that stops reading or writing cannot pin a reader thread forever, intake
-/// beyond `max_connections` is answered with a retryable
-/// [`alpenhorn_wire::RpcError::Unavailable`] (carrying a retry-after hint)
-/// instead of queueing unboundedly, and the dispatch queue bounds how many
-/// decoded requests can be buffered ahead of the workers.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// How long a reader thread waits for the next request frame before
-    /// dropping the connection. `None` waits forever (pre-PR 6 behaviour).
-    pub read_timeout: Option<Duration>,
-    /// How long a blocked response write may stall before the connection is
-    /// dropped. `None` waits forever.
-    pub write_timeout: Option<Duration>,
-    /// Maximum concurrently served connections. An accept beyond the cap is
-    /// shed: the peer gets one `Unavailable` reply and is disconnected.
-    pub max_connections: usize,
-    /// The retry-after hint (milliseconds) carried in shed replies.
-    pub shed_retry_after_ms: u32,
-    /// Worker threads executing requests (minimum 1). Readers outnumbering
-    /// workers is fine: readers only block on I/O.
-    pub worker_threads: usize,
-    /// Bounded depth of the request dispatch queue (minimum 1). A full queue
-    /// blocks readers — backpressure — rather than buffering unboundedly.
-    pub dispatch_queue_depth: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            read_timeout: Some(Duration::from_secs(60)),
-            write_timeout: Some(Duration::from_secs(30)),
-            max_connections: 1024,
-            shed_retry_after_ms: 200,
-            worker_threads: 4,
-            dispatch_queue_depth: 256,
-        }
-    }
-}
-
-/// One unit of work: a decoded request payload plus the channel that routes
-/// the encoded response back to the connection's reader thread.
-struct Job {
-    payload: Vec<u8>,
-    /// Correlation id carried by the request frame's telemetry field, if the
-    /// client sent one; threaded through to the dispatch span.
-    correlation: Option<u64>,
-    reply: SyncSender<Vec<u8>>,
-}
-
-/// A bounded multi-producer/multi-consumer queue of [`Job`]s, hand-rolled on
-/// `Mutex` + `Condvar` (the vendored `parking_lot` has no condvar). `push`
-/// blocks while full; `pop` blocks while empty; `close` wakes everyone so
-/// shutdown cannot deadlock.
-struct DispatchQueue {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    depth: usize,
-    closed: bool,
-}
-
-impl DispatchQueue {
-    fn new(depth: usize) -> Self {
-        DispatchQueue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                depth: depth.max(1),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
+        self.handle_request_bytes(request)
     }
 
-    /// Enqueues one job, blocking while the queue is full. `Err` means the
-    /// queue closed (server shutdown); the job is handed back.
-    fn push(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if state.closed {
-                return Err(job);
-            }
-            if state.jobs.len() < state.depth {
-                state.jobs.push_back(job);
-                server_metrics().queue_depth.set(state.jobs.len() as u64);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.not_full.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
+    fn shed_reply(&self, retry_after_ms: u32) -> Vec<u8> {
+        Response::Error(RpcError::Unavailable {
+            detail: "server at connection capacity; retry shortly".to_string(),
+            retry_after_ms,
+        })
+        .encode()
     }
 
-    /// Dequeues one job, blocking while the queue is empty. `None` means the
-    /// queue closed and drained.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                server_metrics().queue_depth.set(state.jobs.len() as u64);
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Closes the queue: pushers start failing, poppers drain and exit.
-    fn close(&self) {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// A handle to a running RPC server.
-///
-/// Dropping the handle does **not** stop the server; call
-/// [`ServerHandle::shutdown`] to stop accepting connections, drain the worker
-/// pool, and join the accept and worker threads. Reader threads exit when
-/// their peer disconnects.
-pub struct ServerHandle {
-    local_addr: SocketAddr,
-    shared: SharedCoordinator,
-    queue: Arc<DispatchQueue>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The address the server is listening on (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The shared coordinator, for server-side inspection and round driving
-    /// (e.g. reading round statistics or advancing the simulated clock from
-    /// tests). Exclusive access goes through [`SharedCoordinator::write`].
-    pub fn service(&self) -> SharedCoordinator {
-        self.shared.clone()
-    }
-
-    /// Stops accepting new connections, drains and joins the worker pool,
-    /// and joins the accept thread. Reader threads for existing connections
-    /// exit when their peers disconnect (in-flight pushes fail once the
-    /// queue closes).
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        self.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    fn bad_frame_reply(&self, error: &WireError) -> Vec<u8> {
+        Response::Error(RpcError::BadRequest {
+            detail: format!("undecodable frame: {error}"),
+        })
+        .encode()
     }
 }
 
@@ -245,7 +53,7 @@ pub fn serve(
     serve_with_config(service, addr, ServerConfig::default())
 }
 
-/// [`serve`] with explicit timeout, shedding, and worker-pool configuration.
+/// [`serve`] with explicit timeout and shedding configuration.
 pub fn serve_with_config(
     service: CoordinatorService,
     addr: impl ToSocketAddrs,
@@ -261,139 +69,15 @@ pub fn serve_shared(
     addr: impl ToSocketAddrs,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(DispatchQueue::new(config.dispatch_queue_depth));
-
-    let workers = (0..config.worker_threads.max(1))
-        .map(|_| {
-            let queue = Arc::clone(&queue);
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                while let Some(job) = queue.pop() {
-                    let busy = &server_metrics().workers_busy;
-                    busy.add(1);
-                    let response =
-                        shared.handle_request_bytes_with_correlation(&job.payload, job.correlation);
-                    busy.sub(1);
-                    // A dead receiver means the connection is gone; the
-                    // response has nowhere to go, which is fine.
-                    let _ = job.reply.send(response);
-                }
-            })
-        })
-        .collect();
-
-    let accept_stop = Arc::clone(&stop);
-    let accept_queue = Arc::clone(&queue);
-    let active = Arc::new(AtomicUsize::new(0));
-    let accept_thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            // Overload shedding happens here, before a reader is spawned:
-            // the daemon's intake pressure is answered with a typed
-            // retryable error, never with an unbounded backlog.
-            if active.load(Ordering::SeqCst) >= config.max_connections {
-                server_metrics().connections_shed.inc();
-                shed_connection(stream, config.shed_retry_after_ms);
-                continue;
-            }
-            active.fetch_add(1, Ordering::SeqCst);
-            server_metrics().connections_active.add(1);
-            let queue = Arc::clone(&accept_queue);
-            let active = Arc::clone(&active);
-            let config = config.clone();
-            std::thread::spawn(move || {
-                serve_connection(stream, &queue, &config);
-                active.fetch_sub(1, Ordering::SeqCst);
-                server_metrics().connections_active.sub(1);
-            });
-        }
-    });
-
-    Ok(ServerHandle {
-        local_addr,
-        shared,
-        queue,
-        stop,
-        accept_thread: Some(accept_thread),
-        workers,
-    })
-}
-
-/// Answers one connection over the cap: a single retryable `Unavailable`
-/// reply with the configured retry-after hint, then disconnect. Best-effort
-/// — a peer that already hung up just gets dropped.
-fn shed_connection(mut stream: TcpStream, retry_after_ms: u32) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let reply = alpenhorn_wire::Response::Error(alpenhorn_wire::RpcError::Unavailable {
-        detail: "server at connection capacity; retry shortly".to_string(),
-        retry_after_ms,
-    })
-    .encode();
-    let _ = Frame::write_to(&mut stream, &reply);
-}
-
-/// Services one connection until the peer disconnects, stalls past the I/O
-/// timeouts, sends an undecodable frame, or the server shuts down. Pure I/O:
-/// every request is executed by the worker pool.
-fn serve_connection(mut stream: TcpStream, queue: &DispatchQueue, config: &ServerConfig) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(config.read_timeout);
-    let _ = stream.set_write_timeout(config.write_timeout);
-    loop {
-        match Frame::read_from_with_telemetry(&mut stream) {
-            Ok((payload, correlation)) => {
-                // One in-flight request per connection: hand the payload to
-                // the pool and wait for its response before reading the next
-                // frame, preserving per-connection ordering.
-                let (reply, response) = std::sync::mpsc::sync_channel(1);
-                if queue
-                    .push(Job {
-                        payload,
-                        correlation,
-                        reply,
-                    })
-                    .is_err()
-                {
-                    // Server shutting down.
-                    return;
-                }
-                let Ok(response) = response.recv() else {
-                    // Worker pool gone (shutdown drained the queue).
-                    return;
-                };
-                if Frame::write_to(&mut stream, &response).is_err() {
-                    return;
-                }
-            }
-            // Peer went away (EOF surfaces as UnexpectedEof from read_exact);
-            // any other I/O failure is equally fatal per-connection.
-            Err(FrameIoError::Io(_)) => return,
-            Err(FrameIoError::Wire(e)) => {
-                // Reply with a typed error, then drop the connection: after a
-                // framing error the stream offset can no longer be trusted.
-                let reply = alpenhorn_wire::Response::Error(alpenhorn_wire::RpcError::BadRequest {
-                    detail: format!("undecodable frame: {e}"),
-                })
-                .encode();
-                let _ = Frame::write_to(&mut stream, &reply);
-                return;
-            }
-        }
-    }
+    alpenhorn_wire::serve(shared, addr, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
-    use alpenhorn_wire::{Request, Response, Round};
+    use alpenhorn_wire::{Frame, Request, Round};
+    use std::net::TcpStream;
 
     fn roundtrip(stream: &mut TcpStream, request: &Request) -> Response {
         Frame::write_to(stream, &request.encode()).unwrap();
@@ -432,26 +116,17 @@ mod tests {
         let payload = Frame::read_from(&mut stream).unwrap();
         assert!(matches!(
             Response::decode(&payload).unwrap(),
-            Response::Error(alpenhorn_wire::RpcError::BadRequest { .. })
+            Response::Error(RpcError::BadRequest { .. })
         ));
         handle.shutdown();
     }
 
     #[test]
     fn concurrent_connections_share_one_deployment() {
-        // Many connections, few workers, tiny queue: exercises backpressure
-        // and proves all submissions land in the one shared round.
+        // Many connections at once: all submissions land in the one shared
+        // round.
         let service = CoordinatorService::new(Cluster::new(ClusterConfig::test(72)));
-        let handle = serve_with_config(
-            service,
-            "127.0.0.1:0",
-            ServerConfig {
-                worker_threads: 2,
-                dispatch_queue_depth: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let handle = serve_with_config(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = handle.local_addr();
 
         let onion_len = {

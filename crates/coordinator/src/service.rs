@@ -24,7 +24,7 @@ use alpenhorn_wire::rpc::{
     AddFriendRoundWire, DialingRoundWire, IdentityKeyShareWire, RoundStatsWire,
 };
 use alpenhorn_wire::{
-    Frame, RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError,
+    RateLimitReason, RateLimitToken, Request, Response, Round, RoundKind, RpcError,
 };
 
 use crate::cluster::{AddFriendRoundInfo, Cluster, DialingRoundInfo};
@@ -537,43 +537,6 @@ impl CoordinatorService {
         Ok(())
     }
 
-    /// Handles one framed request payload (already stripped of its frame),
-    /// returning the encoded response. A payload that does not decode to a
-    /// [`Request`] yields an encoded [`RpcError::BadRequest`] instead of a
-    /// connection drop, so clients always get a typed answer.
-    pub fn handle_request_bytes(&mut self, payload: &[u8]) -> Vec<u8> {
-        let response = match Request::decode(payload) {
-            Ok(request) => self.handle(request),
-            Err(e) => Response::Error(RpcError::BadRequest {
-                detail: format!("undecodable request: {e}"),
-            }),
-        };
-        let bytes = response.encode();
-        if bytes.len() > Frame::MAX_PAYLOAD_LEN {
-            // A response too large to frame (e.g. a mailbox bloated past the
-            // 16 MiB cap by an unthrottled flood of submissions) must come
-            // back as a typed error, not panic the connection thread in
-            // `Frame::encode`.
-            return Response::Error(RpcError::BadRequest {
-                detail: "response exceeds the maximum frame size".to_string(),
-            })
-            .encode();
-        }
-        bytes
-    }
-
-    /// Handles one complete frame, returning the complete response frame.
-    pub fn handle_frame(&mut self, frame: &[u8]) -> Vec<u8> {
-        let response_bytes = match Frame::decode(frame) {
-            Ok(payload) => self.handle_request_bytes(payload),
-            Err(e) => Response::Error(RpcError::BadRequest {
-                detail: format!("undecodable frame: {e}"),
-            })
-            .encode(),
-        };
-        Frame::encode(&response_bytes)
-    }
-
     fn issue_token(
         &mut self,
         identity: alpenhorn_wire::Identity,
@@ -768,6 +731,7 @@ fn round_stats_wire(stats: &RoundStats) -> RoundStatsWire {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
+    use crate::shared::SharedCoordinator;
     use alpenhorn_ibe::blind::{blind, unblind};
     use alpenhorn_wire::Identity;
 
@@ -857,19 +821,10 @@ mod tests {
             }),
             Response::Error(RpcError::BadRequest { .. })
         ));
-        // Undecodable request bytes inside a valid frame.
-        let framed = Frame::encode(&[0xde, 0xad, 0xbe, 0xef]);
-        let reply = service.handle_frame(&framed);
-        let payload = Frame::decode(&reply).unwrap();
+        // Undecodable request bytes get a typed reply too.
+        let reply = SharedCoordinator::new(service).handle_request_bytes(&[0xde, 0xad, 0xbe, 0xef]);
         assert!(matches!(
-            Response::decode(payload).unwrap(),
-            Response::Error(RpcError::BadRequest { .. })
-        ));
-        // An undecodable frame still gets a framed, typed reply.
-        let reply = service.handle_frame(b"not a frame at all");
-        let payload = Frame::decode(&reply).unwrap();
-        assert!(matches!(
-            Response::decode(payload).unwrap(),
+            Response::decode(&reply).unwrap(),
             Response::Error(RpcError::BadRequest { .. })
         ));
     }

@@ -287,26 +287,17 @@ impl SharedCoordinator {
         }
     }
 
-    /// Handles one framed request payload, like
-    /// [`CoordinatorService::handle_request_bytes`] but dispatching through
-    /// the concurrent paths.
+    /// Handles one framed request payload, returning the encoded response.
+    /// Every dispatched RPC is timed into `coordinator_rpc_latency_us`,
+    /// counted by outcome in `coordinator_rpc_total`, and — when
+    /// round-scoped — recorded as a coordinator span under the round's
+    /// correlation id. A payload that does not decode to a [`Request`]
+    /// yields an encoded [`RpcError::BadRequest`], so clients always get a
+    /// typed answer.
     pub fn handle_request_bytes(&self, payload: &[u8]) -> Vec<u8> {
-        self.handle_request_bytes_with_correlation(payload, None)
-    }
-
-    /// [`Self::handle_request_bytes`] with the correlation id carried by the
-    /// request's telemetry frame field (if any): every dispatched RPC is
-    /// timed into `coordinator_rpc_latency_us`, counted by outcome in
-    /// `coordinator_rpc_total`, and — when round-scoped — recorded as a
-    /// coordinator span under that correlation id.
-    pub fn handle_request_bytes_with_correlation(
-        &self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Vec<u8> {
         let response = match Request::decode(payload) {
             Ok(request) => {
-                let observation = crate::telemetry::begin_rpc(&request, correlation);
+                let observation = crate::telemetry::begin_rpc(&request);
                 let response = self.handle(request);
                 crate::telemetry::finish_rpc(observation, &response);
                 response
@@ -317,26 +308,15 @@ impl SharedCoordinator {
         };
         let bytes = response.encode();
         if bytes.len() > Frame::MAX_PAYLOAD_LEN {
-            // Same cap as the exclusive path: an overgrown response comes
-            // back as a typed error, never a panic in `Frame::encode`.
+            // A response too large to frame (e.g. a mailbox bloated past the
+            // 16 MiB cap by an unthrottled flood of submissions) comes back
+            // as a typed error, never a panic in `Frame::encode`.
             return Response::Error(RpcError::BadRequest {
                 detail: "response exceeds the maximum frame size".to_string(),
             })
             .encode();
         }
         bytes
-    }
-
-    /// Handles one complete frame, returning the complete response frame.
-    pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let response_bytes = match Frame::decode(frame) {
-            Ok(payload) => self.handle_request_bytes(payload),
-            Err(e) => Response::Error(RpcError::BadRequest {
-                detail: format!("undecodable frame: {e}"),
-            })
-            .encode(),
-        };
-        Frame::encode(&response_bytes)
     }
 }
 

@@ -9,12 +9,11 @@
 //! and the coordinator's retried requests get the identical answers.
 //!
 //! ```text
-//! mixd --index N [--listen ADDR] [--seed N] [--workers N] [--data-dir DIR]
+//! mixd --index N [--listen ADDR] [--seed N] [--workers N]
 //!      [--log-level LEVEL] [--metrics-dump-secs N]
 //! ```
 //!
-//! `--data-dir` is accepted for deployment-script symmetry with the other
-//! daemons but unused: `mixd` keeps no durable state, by design.
+//! `mixd` keeps no durable state, by design, so it takes no data directory.
 
 use alpenhorn_mixd::{serve, MixdServer};
 use alpenhorn_obs::log::Level;
@@ -34,13 +33,12 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mixd --index N [--listen ADDR] [--seed N] [--workers N] [--data-dir DIR]\n\
+        "usage: mixd --index N [--listen ADDR] [--seed N] [--workers N]\n\
          \x20           [--log-level off|error|warn|info|debug] [--metrics-dump-secs N]\n\
          \x20      --index N     chain position of this mix server (required)\n\
          \x20      --listen ADDR listen address (default 127.0.0.1:7207; port 0 for ephemeral)\n\
          \x20      --seed N      cluster seed byte, must match the coordinator's (default 0)\n\
          \x20      --workers N   worker threads per round (default: available parallelism)\n\
-         \x20      --data-dir D  accepted and ignored: mixd is stateless by design\n\
          \x20      --log-level L log verbosity (default info)\n\
          \x20      --metrics-dump-secs N  dump the metrics exposition every N seconds"
     );
@@ -70,9 +68,6 @@ fn parse_options() -> Options {
             "--index" => options.index = Some(value("--index").parse().unwrap_or_else(|_| usage())),
             "--workers" => {
                 options.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()))
-            }
-            "--data-dir" => {
-                let _ = value("--data-dir");
             }
             "--log-level" => {
                 options.log_level = Level::parse(&value("--log-level")).unwrap_or_else(|| usage())

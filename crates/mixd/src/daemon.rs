@@ -1,7 +1,6 @@
 //! The `mixd` daemon: one chain position's mix servers behind framed TCP.
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -9,7 +8,9 @@ use alpenhorn_ibe::dh::DhPublic;
 use alpenhorn_mixnet::{server_seed, MixServer, NoiseConfig, Protocol};
 use alpenhorn_obs::SpanGuard;
 use alpenhorn_wire::rpc::{SpanWire, TelemetryWire};
-use alpenhorn_wire::{Frame, MixerRequest, MixerResponse, RoundKind};
+use alpenhorn_wire::{
+    Frame, MixerRequest, MixerResponse, RoundKind, ServerConfig, ServerHandle, Service, WireError,
+};
 
 use crate::seeds::chain_seed;
 
@@ -107,26 +108,13 @@ impl MixdServer {
 
     /// Dispatches one request. Failures come back as
     /// [`MixerResponse::Error`], never a panic: a hostile or confused
-    /// coordinator must not kill the daemon.
+    /// coordinator must not kill the daemon. Round-scoped requests are
+    /// timed and recorded as spans under the round's correlation id.
     pub fn handle(&mut self, request: MixerRequest) -> MixerResponse {
-        self.handle_with_correlation(request, None)
-    }
-
-    /// Like [`MixdServer::handle`], preferring the correlation id the
-    /// coordinator attached to the request frame (when talking to an
-    /// up-to-date peer) over the locally derived one. Both are the same pure
-    /// function of (protocol, round), so a PR 9-era coordinator that sends
-    /// plain frames still produces correctly linked spans.
-    fn handle_with_correlation(
-        &mut self,
-        request: MixerRequest,
-        wire_correlation: Option<u64>,
-    ) -> MixerResponse {
         let metrics = daemon_metrics();
         let phase_timer = request.round_scope().map(|(protocol, round)| {
             let phase = request.name();
-            let correlation = wire_correlation
-                .unwrap_or_else(|| alpenhorn_obs::correlation_id(protocol.code(), round.0));
+            let correlation = alpenhorn_obs::correlation_id(protocol.code(), round.0);
             (
                 alpenhorn_obs::global().histogram(
                     "mixd_round_phase_us",
@@ -208,18 +196,8 @@ impl MixdServer {
     /// Undecodable payloads and oversized responses come back as encoded
     /// [`MixerResponse::Error`]s, keeping the connection alive and aligned.
     pub fn handle_request_bytes(&mut self, payload: &[u8]) -> Vec<u8> {
-        self.handle_request_bytes_with_correlation(payload, None)
-    }
-
-    /// Like [`MixdServer::handle_request_bytes`], with the correlation id the
-    /// peer attached to the request frame (if any).
-    pub fn handle_request_bytes_with_correlation(
-        &mut self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Vec<u8> {
         let response = match MixerRequest::decode(payload) {
-            Ok(request) => self.handle_with_correlation(request, correlation),
+            Ok(request) => self.handle(request),
             Err(e) => MixerResponse::Error(format!("undecodable mixer request: {e}")),
         };
         let bytes = response.encode();
@@ -232,96 +210,59 @@ impl MixdServer {
 }
 
 /// A handle to a running [`serve`] loop.
-pub struct MixdHandle {
-    local_addr: std::net::SocketAddr,
-    server: Arc<Mutex<MixdServer>>,
-}
-
-impl MixdHandle {
-    /// The bound listen address (with the OS-assigned port for `:0` binds).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
-    /// The served daemon state, shared with the accept loop (tests and the
-    /// binary's diagnostics).
-    pub fn server(&self) -> Arc<Mutex<MixdServer>> {
-        Arc::clone(&self.server)
-    }
-}
-
-/// Serves `server` on `addr`: one framed [`MixerRequest`] →
-/// [`MixerResponse`] exchange per frame, one thread per connection, requests
-/// serialized through the daemon mutex (rounds are driven by a single
-/// coordinator; contention is not the bottleneck, the mixing is).
-///
-/// Returns once the listener is bound; accepting runs on a background
-/// thread for the life of the process.
-pub fn serve(server: MixdServer, addr: &str) -> std::io::Result<MixdHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let server = Arc::new(Mutex::new(server));
-    let accept_server = Arc::clone(&server);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let server = Arc::clone(&accept_server);
-            std::thread::spawn(move || serve_connection(stream, server));
-        }
-    });
-    Ok(MixdHandle { local_addr, server })
-}
+pub type MixdHandle = ServerHandle;
 
 /// Read/write timeout per connection: generous enough for a full-round
 /// batch, bounded so a wedged peer cannot pin a thread forever.
-const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(120);
+pub(crate) const CONNECTION_IO_TIMEOUT: Duration = Duration::from_secs(120);
 
-fn serve_connection(mut stream: TcpStream, server: Arc<Mutex<MixdServer>>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT));
-    loop {
-        let (payload, correlation) = match Frame::read_from_with_telemetry(&mut stream) {
-            Ok(read) => read,
-            // EOF or any framing/IO failure ends the connection; the
-            // coordinator reconnects and retries (identical answers).
-            Err(_) => return,
-        };
-        let response = {
-            let mut server = server.lock().expect("mixd state mutex");
-            server.handle_request_bytes_with_correlation(&payload, correlation)
-        };
-        match Frame::write_to(&mut stream, &response) {
-            Ok(()) => {}
-            Err(e) => {
-                // A torn write desynchronizes the stream; drop it.
-                let _ = e;
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
-        }
+/// The served daemon: requests from every connection serialize through one
+/// lock (rounds are driven by a single coordinator; contention is not the
+/// bottleneck, the mixing is).
+struct Served(Mutex<MixdServer>);
+
+impl Service for Served {
+    const NAME: &'static str = "mixd";
+
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
+        let mut server = self.0.lock().expect("mixd state mutex");
+        server.handle_request_bytes(request)
+    }
+
+    fn shed_reply(&self, retry_after_ms: u32) -> Vec<u8> {
+        MixerResponse::Error(format!(
+            "mixd at connection capacity; retry in {retry_after_ms} ms"
+        ))
+        .encode()
+    }
+
+    fn bad_frame_reply(&self, error: &WireError) -> Vec<u8> {
+        MixerResponse::Error(format!("undecodable frame: {error}")).encode()
     }
 }
 
-/// A connect helper with the daemon's defaults (used by [`RemoteMixer`]).
-///
-/// [`RemoteMixer`]: crate::mixer::RemoteMixer
-pub(crate) fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for candidate in std::net::ToSocketAddrs::to_socket_addrs(addr)? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                stream.set_write_timeout(Some(CONNECTION_IO_TIMEOUT))?;
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(ErrorKind::InvalidInput, "address resolved to no candidates")
-    }))
+/// Serves `server` on `addr` with the daemon's defaults: one framed
+/// [`MixerRequest`] → [`MixerResponse`] exchange per frame. Returns once the
+/// listener is bound.
+pub fn serve(server: MixdServer, addr: impl ToSocketAddrs) -> std::io::Result<MixdHandle> {
+    serve_with_config(
+        server,
+        addr,
+        ServerConfig {
+            read_timeout: Some(CONNECTION_IO_TIMEOUT),
+            write_timeout: Some(CONNECTION_IO_TIMEOUT),
+            ..ServerConfig::default()
+        },
+    )
+}
+
+/// [`serve`] with explicit timeout and shedding configuration.
+pub fn serve_with_config(
+    server: MixdServer,
+    addr: impl ToSocketAddrs,
+    config: ServerConfig,
+) -> std::io::Result<MixdHandle> {
+    alpenhorn_wire::serve(Served(Mutex::new(server)), addr, config)
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //!   (seed, chain position, round id), the daemon is **stateless across
 //!   requests**: retried RPCs reproduce identical responses and no replay
 //!   cache exists.
-//! * [`serve`] — the framed TCP accept loop (`mixd` binary).
+//! * [`serve`] — the daemon on the shared framed TCP server loop
+//!   ([`alpenhorn_wire::server`]; `mixd` binary).
 //! * [`Mixer`] — the coordinator's view of one mix server, with two
 //!   implementations: [`LoopbackMixer`] (in-process, still routed through
 //!   the wire codec) and [`RemoteMixer`] (framed TCP with
@@ -36,7 +37,7 @@ pub mod mixer;
 pub mod seeds;
 
 pub use chain::{MixRoundInput, MixRoundOutput, RemoteMixChain};
-pub use daemon::{serve, MixdHandle, MixdServer};
+pub use daemon::{serve, serve_with_config, MixdHandle, MixdServer};
 pub use error::MixdError;
 pub use mixer::{LoopbackMixer, MixRetryPolicy, Mixer, ProcessedBatch, RemoteMixer};
 pub use seeds::chain_seed;

@@ -7,7 +7,7 @@ use alpenhorn_ibe::dh::DhPublic;
 use alpenhorn_mixnet::NoiseConfig;
 use alpenhorn_wire::{Frame, MixerRequest, MixerResponse, Round, RoundKind};
 
-use crate::daemon::{connect, MixdServer};
+use crate::daemon::{MixdServer, CONNECTION_IO_TIMEOUT};
 use crate::error::MixdError;
 
 /// One mix server's output for one round.
@@ -182,17 +182,17 @@ impl RemoteMixer {
         &self.addr
     }
 
-    fn exchange_once(
-        &mut self,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> Result<MixerResponse, MixdError> {
+    fn exchange_once(&mut self, payload: &[u8]) -> Result<MixerResponse, MixdError> {
         if self.stream.is_none() {
-            self.stream = Some(connect(&self.addr, self.connect_timeout)?);
+            self.stream = Some(alpenhorn_wire::server::connect(
+                &self.addr,
+                self.connect_timeout,
+                CONNECTION_IO_TIMEOUT,
+            )?);
         }
         let stream = self.stream.as_mut().expect("connected above");
         let result: Result<MixerResponse, MixdError> = (|| {
-            Frame::write_to_with_telemetry(stream, payload, correlation)?;
+            Frame::write_to(stream, payload)?;
             let response = Frame::read_from(stream)?;
             Ok(MixerResponse::decode(&response)?)
         })();
@@ -214,18 +214,13 @@ impl RemoteMixer {
     }
 
     fn call(&mut self, request: MixerRequest) -> Result<MixerResponse, MixdError> {
-        // Round-scoped requests carry the round's correlation id in the
-        // frame's telemetry field so daemon-side spans join the round trace.
-        let correlation = request
-            .round_scope()
-            .map(|(protocol, round)| alpenhorn_obs::correlation_id(protocol.code(), round.0));
         let payload = request.encode();
         let mut last = None;
         for attempt in 1..=self.retry.max_attempts.max(1) {
             if attempt > 1 {
                 std::thread::sleep(self.retry.backoff(attempt - 1));
             }
-            match self.exchange_once(&payload, correlation) {
+            match self.exchange_once(&payload) {
                 Ok(response) => return Ok(response),
                 Err(e) if e.is_retryable() => last = Some(e),
                 Err(e) => return Err(e),

@@ -239,48 +239,35 @@ impl From<WireError> for FrameIoError {
 /// Layout (all integers big-endian):
 ///
 /// ```text
-/// v3: +-------+---------+-----------+----------------+------------+
-///     | magic | version |  length   |    payload     |  checksum  |
-///     | 2 B   | 1 B     | 4 B (u32) | `length` bytes | 4 B        |
-///     +-------+---------+-----------+----------------+------------+
-/// v4: +-------+---------+-----------+-------------+----------------+------------+
-///     | magic | version |  length   | correlation |    payload     |  checksum  |
-///     | 2 B   | 1 B     | 4 B (u32) | 8 B (u64)   | `length` bytes | 4 B        |
-///     +-------+---------+-----------+-------------+----------------+------------+
+/// +-------+---------+-----------+----------------+------------+
+/// | magic | version |  length   |    payload     |  checksum  |
+/// | 2 B   | 1 B     | 4 B (u32) | `length` bytes | 4 B        |
+/// +-------+---------+-----------+----------------+------------+
 /// ```
 ///
 /// The checksum is the first four bytes of SHA-256 over everything before it
-/// (header, telemetry block if present, payload), so truncation, bit flips,
-/// and length corruption are all caught.
+/// (header and payload), so truncation, bit flips, and length corruption are
+/// all caught.
 ///
 /// Versioning rule: any change to the frame layout or to the encoding of the
-/// RPC messages inside it bumps [`Frame::VERSION`]. v4 introduced the first
-/// *optional* extension: a telemetry block carrying the round correlation id
-/// (`alpenhorn_obs::correlation_id`) so spans in different processes can be
-/// stitched into one trace. Frames without telemetry are still emitted as
-/// byte-identical v3, and receivers accept both v3 and v4 — a PR 9-era peer
-/// that never sends the block interoperates unchanged. Anything outside
-/// `[PLAIN_VERSION, VERSION]` is rejected with
-/// [`WireError::UnsupportedVersion`].
+/// RPC messages inside it bumps [`Frame::VERSION`], and every other version
+/// byte is rejected with [`WireError::UnsupportedVersion`]. The frame carries
+/// no telemetry: every round-scoped request names its (protocol, round), so
+/// each receiver derives the round's correlation id
+/// (`alpenhorn_obs::correlation_id`) from the payload itself.
 pub struct Frame;
 
 impl Frame {
     /// Magic bytes every frame starts with ("AH" for Alpenhorn).
     pub const MAGIC: [u8; 2] = *b"AH";
-    /// The newest protocol version this implementation speaks. History:
-    /// v1 = the PR 4 RPC surface; v2 added
-    /// [`crate::rpc::RpcError::Unavailable`] (typed transient server faults,
-    /// PR 5); v3 added the `retry_after_ms` backoff hint to `Unavailable`
-    /// (overload shedding, PR 6); v4 added the optional telemetry block
-    /// (round correlation id, PR 10).
-    pub const VERSION: u8 = 4;
-    /// The telemetry-free frame version. [`Frame::encode`] still emits it,
-    /// byte-identical to a PR 9 peer's frames.
-    pub const PLAIN_VERSION: u8 = 3;
+    /// The protocol version this implementation speaks. History: v1 = the
+    /// first RPC surface; v2 added [`crate::rpc::RpcError::Unavailable`]
+    /// (typed transient server faults); v3 added the `retry_after_ms`
+    /// backoff hint to `Unavailable` (overload shedding). A v4 layout with
+    /// an optional correlation-id block existed briefly and is rejected.
+    pub const VERSION: u8 = 3;
     /// Header length: magic + version + length prefix.
     pub const HEADER_LEN: usize = 2 + 1 + 4;
-    /// Length of the v4 telemetry block (the correlation id).
-    pub const TELEMETRY_LEN: usize = 8;
     /// Trailing checksum length.
     pub const CHECKSUM_LEN: usize = 4;
     /// Maximum payload size a frame may carry (16 MiB). A length prefix
@@ -288,7 +275,7 @@ impl Frame {
     /// peer cannot make the receiver reserve unbounded memory.
     pub const MAX_PAYLOAD_LEN: usize = 1 << 24;
 
-    fn checksum_parts(parts: &[&[u8]]) -> [u8; Self::CHECKSUM_LEN] {
+    fn checksum(parts: &[&[u8]]) -> [u8; Self::CHECKSUM_LEN] {
         let mut hasher = alpenhorn_crypto::sha256::Sha256::new();
         for part in parts {
             hasher.update(part);
@@ -299,41 +286,22 @@ impl Frame {
         out
     }
 
-    fn header(version: u8, payload_len: usize) -> [u8; Self::HEADER_LEN] {
-        let mut header = [0u8; Self::HEADER_LEN];
-        header[..2].copy_from_slice(&Self::MAGIC);
-        header[2] = version;
-        header[3..].copy_from_slice(&(payload_len as u32).to_be_bytes());
-        header
-    }
-
-    fn encode_inner(payload: &[u8], telemetry: Option<u64>) -> Vec<u8> {
-        assert!(
-            payload.len() <= Self::MAX_PAYLOAD_LEN,
-            "frame payload of {} bytes exceeds the maximum",
-            payload.len()
-        );
-        let version = if telemetry.is_some() {
-            Self::VERSION
-        } else {
-            Self::PLAIN_VERSION
-        };
-        let header = Self::header(version, payload.len());
-        let mut out = Vec::with_capacity(
-            Self::HEADER_LEN + Self::TELEMETRY_LEN + payload.len() + Self::CHECKSUM_LEN,
-        );
-        out.extend_from_slice(&header);
-        if let Some(correlation) = telemetry {
-            out.extend_from_slice(&correlation.to_be_bytes());
+    /// Validates magic and version and returns the claimed payload length.
+    fn check_header(header: &[u8]) -> Result<usize, WireError> {
+        if header[..2] != Self::MAGIC {
+            return Err(WireError::BadMagic);
         }
-        out.extend_from_slice(payload);
-        let checksum = Self::checksum_parts(&[&out]);
-        out.extend_from_slice(&checksum);
-        out
+        if header[2] != Self::VERSION {
+            return Err(WireError::UnsupportedVersion { version: header[2] });
+        }
+        let claimed = u32::from_be_bytes([header[3], header[4], header[5], header[6]]) as usize;
+        if claimed > Self::MAX_PAYLOAD_LEN {
+            return Err(WireError::FrameTooLarge { claimed });
+        }
+        Ok(claimed)
     }
 
-    /// Wraps `payload` in a complete telemetry-free frame — byte-identical
-    /// to what a v3 (PR 9) implementation emits.
+    /// Wraps `payload` in a complete frame.
     ///
     /// # Panics
     ///
@@ -341,45 +309,35 @@ impl Frame {
     /// message comes close (mailbox responses are the largest and are bounded
     /// by the round's mailbox size).
     pub fn encode(payload: &[u8]) -> Vec<u8> {
-        Self::encode_inner(payload, None)
+        assert!(
+            payload.len() <= Self::MAX_PAYLOAD_LEN,
+            "frame payload of {} bytes exceeds the maximum",
+            payload.len()
+        );
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + payload.len() + Self::CHECKSUM_LEN);
+        out.extend_from_slice(&Self::MAGIC);
+        out.push(Self::VERSION);
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(payload);
+        let checksum = Self::checksum(&[&out]);
+        out.extend_from_slice(&checksum);
+        out
     }
 
-    /// Wraps `payload` in a v4 frame carrying `correlation` in the telemetry
-    /// block. Same panic condition as [`Frame::encode`].
-    pub fn encode_with_telemetry(payload: &[u8], correlation: u64) -> Vec<u8> {
-        Self::encode_inner(payload, Some(correlation))
-    }
-
-    /// Decodes one complete frame from `buf`, returning the payload and the
-    /// correlation id when the sender attached one (v4 frames only).
+    /// Decodes one complete frame from `buf`, returning the payload.
     ///
     /// The whole buffer must be exactly one frame; malformed input (wrong
     /// magic, unsupported version, oversized or lying length prefix,
     /// truncation, checksum mismatch) is rejected with a typed error and
     /// never panics.
-    pub fn decode_with_telemetry(buf: &[u8]) -> Result<(&[u8], Option<u64>), WireError> {
+    pub fn decode(buf: &[u8]) -> Result<&[u8], WireError> {
         if buf.len() < Self::HEADER_LEN + Self::CHECKSUM_LEN {
             return Err(WireError::UnexpectedEnd {
                 context: "frame header",
             });
         }
-        if buf[..2] != Self::MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = buf[2];
-        if version != Self::PLAIN_VERSION && version != Self::VERSION {
-            return Err(WireError::UnsupportedVersion { version });
-        }
-        let telemetry_len = if version == Self::VERSION {
-            Self::TELEMETRY_LEN
-        } else {
-            0
-        };
-        let claimed = u32::from_be_bytes([buf[3], buf[4], buf[5], buf[6]]) as usize;
-        if claimed > Self::MAX_PAYLOAD_LEN {
-            return Err(WireError::FrameTooLarge { claimed });
-        }
-        let total = Self::HEADER_LEN + telemetry_len + claimed + Self::CHECKSUM_LEN;
+        let claimed = Self::check_header(&buf[..Self::HEADER_LEN])?;
+        let total = Self::HEADER_LEN + claimed + Self::CHECKSUM_LEN;
         if buf.len() < total {
             return Err(WireError::UnexpectedEnd {
                 context: "frame payload",
@@ -391,90 +349,34 @@ impl Frame {
             });
         }
         let body_end = total - Self::CHECKSUM_LEN;
-        let expected = Self::checksum_parts(&[&buf[..body_end]]);
-        if buf[body_end..] != expected {
+        if buf[body_end..] != Self::checksum(&[&buf[..body_end]]) {
             return Err(WireError::ChecksumMismatch);
         }
-        let payload_start = Self::HEADER_LEN + telemetry_len;
-        let telemetry = (telemetry_len > 0).then(|| {
-            u64::from_be_bytes(
-                buf[Self::HEADER_LEN..payload_start]
-                    .try_into()
-                    .expect("telemetry block is 8 bytes"),
-            )
-        });
-        Ok((&buf[payload_start..body_end], telemetry))
+        Ok(&buf[Self::HEADER_LEN..body_end])
     }
 
-    /// Decodes one complete frame from `buf`, returning the payload and
-    /// discarding any telemetry block.
-    pub fn decode(buf: &[u8]) -> Result<&[u8], WireError> {
-        Self::decode_with_telemetry(buf).map(|(payload, _)| payload)
-    }
-
-    /// Writes `payload` as one telemetry-free frame to `writer` and flushes.
+    /// Writes `payload` as one frame to `writer` and flushes.
     pub fn write_to(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
         writer.write_all(&Frame::encode(payload))?;
         writer.flush()
     }
 
-    /// Writes `payload` as one frame to `writer` and flushes, attaching the
-    /// telemetry block when `correlation` is `Some`.
-    pub fn write_to_with_telemetry(
-        writer: &mut impl Write,
-        payload: &[u8],
-        correlation: Option<u64>,
-    ) -> std::io::Result<()> {
-        writer.write_all(&Frame::encode_inner(payload, correlation))?;
-        writer.flush()
-    }
-
-    /// Reads one complete frame from `reader`, returning the payload and the
-    /// sender's correlation id if one was attached.
+    /// Reads one complete frame from `reader`, returning the payload.
     ///
     /// Validates magic, version, length bound, and checksum before returning;
     /// the oversized-length check runs before the payload allocation.
-    pub fn read_from_with_telemetry(
-        reader: &mut impl Read,
-    ) -> Result<(Vec<u8>, Option<u64>), FrameIoError> {
+    pub fn read_from(reader: &mut impl Read) -> Result<Vec<u8>, FrameIoError> {
         let mut header = [0u8; Self::HEADER_LEN];
         reader.read_exact(&mut header)?;
-        if header[..2] != Self::MAGIC {
-            return Err(WireError::BadMagic.into());
-        }
-        let version = header[2];
-        if version != Self::PLAIN_VERSION && version != Self::VERSION {
-            return Err(WireError::UnsupportedVersion { version }.into());
-        }
-        let mut telemetry = None;
-        let mut telemetry_bytes = [0u8; Self::TELEMETRY_LEN];
-        if version == Self::VERSION {
-            reader.read_exact(&mut telemetry_bytes)?;
-            telemetry = Some(u64::from_be_bytes(telemetry_bytes));
-        }
-        let claimed = u32::from_be_bytes([header[3], header[4], header[5], header[6]]) as usize;
-        if claimed > Self::MAX_PAYLOAD_LEN {
-            return Err(WireError::FrameTooLarge { claimed }.into());
-        }
+        let claimed = Self::check_header(&header)?;
         let mut payload = vec![0u8; claimed];
         reader.read_exact(&mut payload)?;
         let mut checksum = [0u8; Self::CHECKSUM_LEN];
         reader.read_exact(&mut checksum)?;
-        let expected = if telemetry.is_some() {
-            Self::checksum_parts(&[&header, &telemetry_bytes, &payload])
-        } else {
-            Self::checksum_parts(&[&header, &payload])
-        };
-        if checksum != expected {
+        if checksum != Self::checksum(&[&header, &payload]) {
             return Err(WireError::ChecksumMismatch.into());
         }
-        Ok((payload, telemetry))
-    }
-
-    /// Reads one complete frame from `reader`, returning the payload and
-    /// discarding any telemetry block.
-    pub fn read_from(reader: &mut impl Read) -> Result<Vec<u8>, FrameIoError> {
-        Self::read_from_with_telemetry(reader).map(|(payload, _)| payload)
+        Ok(payload)
     }
 }
 
@@ -562,8 +464,8 @@ mod tests {
 
     #[test]
     fn plain_frames_are_byte_identical_to_v3() {
-        // Reconstruct the PR 9 frame layout by hand: a current encoder with
-        // no telemetry must produce exactly these bytes.
+        // Reconstruct the frame layout by hand: the encoder must produce
+        // exactly these bytes.
         let payload = b"hello alpenhorn";
         let mut v3 = Vec::new();
         v3.extend_from_slice(&Frame::MAGIC);
@@ -578,45 +480,33 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_frames_round_trip() {
-        let payload = b"round work";
-        let framed = Frame::encode_with_telemetry(payload, 0xABCD_1234);
-        assert_eq!(framed[2], Frame::VERSION);
-        let (got, telemetry) = Frame::decode_with_telemetry(&framed).unwrap();
-        assert_eq!(got, payload);
-        assert_eq!(telemetry, Some(0xABCD_1234));
-        // The plain decoder accepts the frame and discards the block.
-        assert_eq!(Frame::decode(&framed).unwrap(), payload);
-        // And the plain frame reports no telemetry.
-        let plain = Frame::encode(payload);
+    fn version_4_frames_are_rejected() {
+        let mut framed = Frame::encode(b"round work");
+        framed[2] = 4;
         assert_eq!(
-            Frame::decode_with_telemetry(&plain).unwrap(),
-            (&payload[..], None)
+            Frame::decode(&framed),
+            Err(WireError::UnsupportedVersion { version: 4 })
         );
+        assert!(matches!(
+            Frame::read_from(&mut &framed[..]),
+            Err(FrameIoError::Wire(WireError::UnsupportedVersion {
+                version: 4
+            }))
+        ));
     }
 
     #[test]
-    fn telemetry_frames_round_trip_through_streams() {
+    fn frames_round_trip_through_streams() {
         let mut wire = Vec::new();
-        Frame::write_to_with_telemetry(&mut wire, b"with", Some(7)).unwrap();
-        Frame::write_to_with_telemetry(&mut wire, b"without", None).unwrap();
+        Frame::write_to(&mut wire, b"first").unwrap();
+        Frame::write_to(&mut wire, b"").unwrap();
         let mut reader = &wire[..];
-        assert_eq!(
-            Frame::read_from_with_telemetry(&mut reader).unwrap(),
-            (b"with".to_vec(), Some(7))
-        );
-        // A telemetry-unaware reader still gets the payload.
-        assert_eq!(Frame::read_from(&mut reader).unwrap(), b"without".to_vec());
-    }
-
-    #[test]
-    fn corrupted_telemetry_block_fails_the_checksum() {
-        let mut framed = Frame::encode_with_telemetry(b"payload", 99);
-        framed[Frame::HEADER_LEN] ^= 0x01; // flip a correlation-id bit
-        assert_eq!(
-            Frame::decode_with_telemetry(&framed),
-            Err(WireError::ChecksumMismatch)
-        );
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), b"first".to_vec());
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), Vec::<u8>::new());
+        assert!(matches!(
+            Frame::read_from(&mut reader),
+            Err(FrameIoError::Io(_))
+        ));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!
 //! The [`rpc`] module defines the versioned client ↔ coordinator RPC API
 //! (requests, responses, typed errors), carried inside the checksummed
-//! [`codec::Frame`]; see `docs/ARCHITECTURE.md` for the layering.
+//! [`codec::Frame`]; see `docs/ARCHITECTURE.md` for the layering. The
+//! [`server`] module is the one framed TCP server loop every daemon runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +34,7 @@ pub mod mixer;
 pub mod onion;
 pub mod round;
 pub mod rpc;
+pub mod server;
 
 pub use cdn::{CdnRequest, CdnResponse, ShardHeader};
 pub use codec::{Decoder, Encoder, Frame, FrameIoError};
@@ -49,3 +51,4 @@ pub use rpc::{
     CdnStatsWire, RateLimitReason, RateLimitToken, Request, Response, RpcError, SpanWire,
     TelemetryWire,
 };
+pub use server::{serve, ServerConfig, ServerHandle, Service};

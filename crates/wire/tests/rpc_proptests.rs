@@ -256,56 +256,22 @@ proptest! {
     }
 
     #[test]
-    fn telemetry_frames_round_trip_with_and_without_the_field(
-        payload in proptest::collection::vec(any::<u8>(), 0..512),
-        correlation in any::<u64>(),
-    ) {
-        // With the telemetry field: a v4 frame carrying the correlation id.
-        let with = Frame::encode_with_telemetry(&payload, correlation);
-        let (decoded, telemetry) = Frame::decode_with_telemetry(&with).unwrap();
-        prop_assert_eq!(decoded, payload.as_slice());
-        prop_assert_eq!(telemetry, Some(correlation));
-        // The plain decoder accepts the same v4 frame, dropping the field.
-        prop_assert_eq!(Frame::decode(&with).unwrap(), payload.as_slice());
-
-        // Without the field: byte-identical to a PR 9-era (v3) frame.
-        let without = Frame::encode(&payload);
-        let (decoded, telemetry) = Frame::decode_with_telemetry(&without).unwrap();
-        prop_assert_eq!(decoded, payload.as_slice());
-        prop_assert_eq!(telemetry, None);
-    }
-
-    #[test]
-    fn pr9_era_peer_interoperates_with_telemetry_frames(
+    fn every_request_round_trips_through_a_frame_stream(
         identity in arb_identity(),
         round in 0u64..1_000_000,
         fill in any::<u8>(),
-        correlation in any::<u64>(),
     ) {
-        for request in all_requests(identity, round, fill, 64, true) {
-            // A PR 9 peer emits exactly `Frame::encode` bytes (the telemetry-
-            // free encoding *is* the v3 encoding); a telemetry-aware receiver
-            // must accept them and see no correlation id.
-            let legacy = Frame::encode(&request.encode());
-            let (payload, telemetry) = Frame::decode_with_telemetry(&legacy).unwrap();
-            prop_assert_eq!(telemetry, None);
-            prop_assert_eq!(Request::decode(payload).unwrap(), request.clone());
-
-            // And a PR 9 peer receiving a v4 frame would reject the unknown
-            // version rather than misparse it, so a telemetry-aware sender
-            // talks to an old receiver by sending plain frames — which this
-            // stream does: both framings of the same request, read back to
-            // back through the streaming reader.
-            let mut wire = Vec::new();
-            Frame::write_to_with_telemetry(&mut wire, &request.encode(), Some(correlation)).unwrap();
-            Frame::write_to_with_telemetry(&mut wire, &request.encode(), None).unwrap();
-            let mut reader = std::io::Cursor::new(wire);
-            let (first, t1) = Frame::read_from_with_telemetry(&mut reader).unwrap();
-            let (second, t2) = Frame::read_from_with_telemetry(&mut reader).unwrap();
-            prop_assert_eq!(t1, Some(correlation));
-            prop_assert_eq!(t2, None);
-            prop_assert_eq!(Request::decode(&first).unwrap(), request.clone());
-            prop_assert_eq!(Request::decode(&second).unwrap(), request);
+        // Back-to-back frames on one stream, as a connection carries them:
+        // the streaming reader must hand back each request in order.
+        let requests = all_requests(identity, round, fill, 64, true);
+        let mut wire = Vec::new();
+        for request in &requests {
+            Frame::write_to(&mut wire, &request.encode()).unwrap();
+        }
+        let mut reader = std::io::Cursor::new(wire);
+        for request in requests {
+            let payload = Frame::read_from(&mut reader).unwrap();
+            prop_assert_eq!(Request::decode(&payload).unwrap(), request);
         }
     }
 

@@ -7,8 +7,11 @@
 # BENCH_SMOKE=1 makes the vendored criterion stand-in run each benchmark for
 # a handful of iterations — enough to catch a pipeline regression (panic,
 # equivalence failure, pathological slowdown) without a full measurement run.
-# The hash_hot_path bench additionally writes BENCH_pr3.json, the recorded
-# perf trajectory (compare snapshots with scripts/bench_compare.sh).
+# The bench snapshot stages write fresh snapshots under target/bench/; the
+# committed BENCH_pr*.json baselines are never overwritten. Set
+# BENCH_BASELINE_DIR to a directory of snapshots recorded on this machine
+# (`.` for the committed ones) to gate every fresh snapshot against its
+# namesake there with scripts/bench_compare.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,66 +72,41 @@ cargo test -q -p alpenhorn-mixd --test loopback_equivalence
 # always-on instrumentation and asserts the client event stream stays
 # byte-identical, one correlation id links the round's spans across
 # coordinator, mixd, and cdnd, and the round/shard counters reconcile.
-# The --ignored variant fetches GetTelemetry from a live alpenhornd over TCP.
-# The frame-telemetry proptests pin v4 <-> v3 wire compatibility.
+# Receivers derive that id from the request's (protocol, round); the frame
+# carries none. The --ignored variant fetches GetTelemetry from a live
+# alpenhornd over TCP. The wire proptests pin the one frame layout.
 stage "observability (telemetry e2e + GetTelemetry smoke vs live alpenhornd)"
 cargo test -q --test observability_e2e
 cargo test -q --release --test observability_e2e -- --ignored
-cargo test -q -p alpenhorn-wire --test rpc_proptests telemetry
+cargo test -q -p alpenhorn-wire --test rpc_proptests
 
-# Full sampling budget, not BENCH_SMOKE: this stage's output IS the recorded
-# perf trajectory (≈3 s total), and overwriting the committed baseline with
-# noisy smoke numbers would make bench_compare.sh diffs meaningless.
-stage "bench snapshot: hash hot path (writes BENCH_pr3.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr3.json" \
-    cargo bench -p alpenhorn-bench --bench hash_hot_path
+# The end-to-end round benchmark is a package of its own (e2e_bench/, see
+# its README); its self-tests check that the timing shims leave the event
+# stream unchanged and that its percentile and calm-round rules hold.
+stage "benchmark self-tests (e2e_bench)"
+cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 
-stage "bench snapshot: wire RPC codec (writes BENCH_pr4.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr4.json" \
-    cargo bench -p alpenhorn-bench --bench wire_rpc
+# Full sampling budget, not BENCH_SMOKE: these stages' output is the perf
+# trajectory (each snapshot takes seconds), and smoke numbers would make
+# bench_compare.sh diffs meaningless.
+mkdir -p target/bench
+for snapshot in pr3:hash_hot_path pr4:wire_rpc pr5:storage_wal pr6:fault_injection \
+    pr7:scenario_engine pr8:coordinator_concurrency pr9:distributed_round \
+    pr10:telemetry_overhead; do
+    name="BENCH_${snapshot%%:*}.json"
+    bench="${snapshot#*:}"
+    stage "bench snapshot: $bench (writes target/bench/$name)"
+    BENCH_JSON_OUT="$PWD/target/bench/$name" cargo bench -p alpenhorn-bench --bench "$bench"
+done
 
-stage "bench snapshot: storage WAL (writes BENCH_pr5.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr5.json" \
-    cargo bench -p alpenhorn-bench --bench storage_wal
-
-stage "bench snapshot: fault-injection overhead (writes BENCH_pr6.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr6.json" \
-    cargo bench -p alpenhorn-bench --bench fault_injection
-
-stage "bench snapshot: scenario engine (writes BENCH_pr7.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr7.json" \
-    cargo bench -p alpenhorn-bench --bench scenario_engine
-
-stage "bench snapshot: coordinator concurrency (writes BENCH_pr8.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr8.json" \
-    cargo bench -p alpenhorn-bench --bench coordinator_concurrency
-
-stage "bench snapshot: distributed round (writes BENCH_pr9.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr9.json" \
-    cargo bench -p alpenhorn-bench --bench distributed_round
-
-stage "bench snapshot: telemetry overhead (writes BENCH_pr10.json)"
-BENCH_JSON_OUT="$PWD/BENCH_pr10.json" \
-    cargo bench -p alpenhorn-bench --bench telemetry_overhead
-
-# Perf numbers are hardware-specific, so the committed snapshot is only a
-# valid baseline on comparable hardware; opt into the regression gate by
-# pointing BENCH_BASELINE at a snapshot recorded on this machine.
-if [[ -n "${BENCH_BASELINE:-}" ]]; then
-    stage "bench compare (vs $BENCH_BASELINE)"
-    scripts/bench_compare.sh "$BENCH_BASELINE" "$PWD/BENCH_pr3.json"
-fi
-if [[ -n "${BENCH_BASELINE_PR8:-}" ]]; then
-    stage "bench compare: coordinator concurrency (vs $BENCH_BASELINE_PR8)"
-    scripts/bench_compare.sh "$BENCH_BASELINE_PR8" "$PWD/BENCH_pr8.json"
-fi
-if [[ -n "${BENCH_BASELINE_PR9:-}" ]]; then
-    stage "bench compare: distributed round (vs $BENCH_BASELINE_PR9)"
-    scripts/bench_compare.sh "$BENCH_BASELINE_PR9" "$PWD/BENCH_pr9.json"
-fi
-if [[ -n "${BENCH_BASELINE_PR10:-}" ]]; then
-    stage "bench compare: telemetry overhead (vs $BENCH_BASELINE_PR10)"
-    scripts/bench_compare.sh "$BENCH_BASELINE_PR10" "$PWD/BENCH_pr10.json"
+# Perf numbers are hardware-specific, so a committed snapshot is only a
+# valid baseline on comparable hardware: the regression gate is opt-in.
+if [[ -n "${BENCH_BASELINE_DIR:-}" ]]; then
+    for fresh in target/bench/BENCH_pr*.json; do
+        name="$(basename "$fresh")"
+        stage "bench compare: $name (vs $BENCH_BASELINE_DIR/$name)"
+        scripts/bench_compare.sh "$BENCH_BASELINE_DIR/$name" "$fresh"
+    done
 fi
 
 # Crash-recovery smoke: start a durable alpenhornd, run a full seeded
